@@ -25,7 +25,7 @@ audit:
 
 tier2: tier1
 	$(GO) vet ./...
-	$(GO) test -race ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile
+	$(GO) test -race ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile ./internal/interp ./internal/exec
 
 # The full 1000+-schedule robustness sweep, race-free build for speed.
 soak:

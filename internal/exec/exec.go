@@ -11,7 +11,8 @@
 //     implementation, so a divergence between engines can never hide in
 //     a re-implemented operator;
 //   - RuntimeErr, the panic envelope every execution error travels in;
-//   - Frame/Step/Run, the compiled tier's register machine; and
+//   - Frame/Step/Run, the compiled tier's register machine, and Pool,
+//     the per-worker recycler of its activation frames; and
 //   - Env, the seam interface through which compiled code reaches the
 //     interpreter's memory system, boundary defense, effect
 //     transactions, replay journal, and call dispatcher. The compiled
@@ -93,8 +94,10 @@ func Errs(msg string) {
 	panic(RuntimeErr{errors.New(msg)})
 }
 
-// StepBudget bounds a single activation's block transfers, matching the
-// interpreter's livelock guard.
+// StepBudget bounds a single activation's block transfers. Both engines
+// enforce it (the interpreter counts blocks, the compiled tier counts
+// branch steps), so a livelocked chunk fails with the same error on
+// either.
 const StepBudget = 100_000_000
 
 // Frame is one compiled activation: a dense register file indexed by the
@@ -112,6 +115,12 @@ type Frame struct {
 	Env Env
 	// Steps counts block transfers against StepBudget.
 	Steps int
+
+	// pool is the worker pool the frame came from (nil for a frame built
+	// by hand); args backs the argument vectors of the frame's Env.Call
+	// steps.
+	pool *Pool
+	args []Val
 }
 
 // Step is one fused instruction: it mutates the frame and returns the
@@ -126,6 +135,119 @@ func Run(code []Step, fr *Frame) Val {
 		pc = code[pc](fr)
 	}
 	return fr.Ret
+}
+
+// Args returns the frame's argument buffer resized to n values, for a
+// call step that goes through Env.Call. The vector is overwritten by the
+// frame's next call step and recycled with the frame, so an Env.Call
+// implementation must copy whatever it keeps past its return.
+func (fr *Frame) Args(n int) []Val {
+	if cap(fr.args) < n {
+		fr.args = make([]Val, n)
+	}
+	return fr.args[:n]
+}
+
+// Callee opens the activation frame of a compiled-to-compiled call: a
+// zeroed nslots-register frame from the caller's worker pool, running on
+// the caller's worker against the caller's Env. Run it with RunPooled.
+func (fr *Frame) Callee(nslots int) *Frame {
+	if fr.pool == nil {
+		fr.pool = PoolOf(fr.W)
+	}
+	return fr.pool.Frame(fr.W, fr.Env, nslots)
+}
+
+// RunPooled runs an activation on a pooled frame and hands the frame back
+// to its pool on return. A panic skips the hand-back: a frame whose
+// activation was abandoned is dropped, never reused.
+func RunPooled(code []Step, fr *Frame) Val {
+	v := Run(code, fr)
+	fr.pool.put(fr)
+	return v
+}
+
+// Pool recycles the activation frames and byte scratch of one worker. It
+// lives in the worker's embedder slot (prt.Worker.Exec) and follows that
+// slot's rules:
+//
+//   - it belongs to one worker and is touched only on that worker's
+//     goroutine, so it needs no locking and is never shared;
+//   - a worker replaced by a supervision restart starts with an empty
+//     slot, so the replacement never inherits its predecessor's pool;
+//   - a frame goes back only when its activation returns normally; a
+//     panic drops every frame it unwinds through.
+//
+// Activations on a worker nest strictly (a nested spawn served inside a
+// wait completes before the wait returns), so the free list is a stack.
+type Pool struct {
+	free    []*Frame
+	scratch []byte
+}
+
+// Pool bounds: at most maxFreeFrames frames wait for reuse (deeper
+// recursion allocates the rest), and scratch requests up to maxScratch
+// bytes share one buffer (a larger request gets a fresh one).
+const (
+	maxFreeFrames = 128
+	maxScratch    = 4096
+)
+
+// PoolOf returns w's pool, creating it on the worker's first compiled
+// activation. A nil worker gets a fresh pool of its own.
+func PoolOf(w *prt.Worker) *Pool {
+	if w == nil {
+		return &Pool{}
+	}
+	p, _ := w.Exec.(*Pool)
+	if p == nil {
+		p = &Pool{}
+		w.Exec = p
+	}
+	return p
+}
+
+// Frame returns an activation frame with a zeroed nslots-register file
+// (a register read before its first write sees the zero value, as the
+// interpreter's fresh value map gives).
+func (p *Pool) Frame(w *prt.Worker, env Env, nslots int) *Frame {
+	var fr *Frame
+	if k := len(p.free); k > 0 {
+		fr = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	} else {
+		fr = &Frame{pool: p}
+	}
+	if cap(fr.Regs) < nslots {
+		fr.Regs = make([]Val, nslots)
+	} else {
+		fr.Regs = fr.Regs[:nslots]
+		clear(fr.Regs)
+	}
+	fr.Ret, fr.W, fr.Env, fr.Steps = Val{}, w, env, 0
+	return fr
+}
+
+func (p *Pool) put(fr *Frame) {
+	fr.W, fr.Env = nil, nil
+	if len(p.free) < maxFreeFrames {
+		p.free = append(p.free, fr)
+	}
+}
+
+// Scratch returns an n-byte buffer with unspecified contents for a copy
+// that completes before the worker runs anything else (a builtin's
+// load-then-store). Requests up to maxScratch bytes share the pool's one
+// buffer; larger ones get a fresh buffer.
+func (p *Pool) Scratch(n int) []byte {
+	if n < 0 || n > maxScratch {
+		return make([]byte, n)
+	}
+	if cap(p.scratch) < n {
+		p.scratch = make([]byte, n, max(n, 256))
+	}
+	return p.scratch[:n]
 }
 
 // Env is the seam interface compiled code executes against. The
@@ -160,10 +282,21 @@ type Env interface {
 	// (split-structure layouts override the nominal size). Called at
 	// compile time.
 	ElemStride(elem ir.Type) int64
-	// Call dispatches a call instruction with its evaluated callee value
-	// (meaningful for indirect calls) and arguments: runtime intrinsics,
-	// direct chunk calls, builtins, and indirect calls through interface
-	// versions.
+	// ChunkHome reports, at compile time, the chunk ID of a function
+	// that is a chunk body and the index of the worker its color runs
+	// on; ok is false for any other function.
+	ChunkHome(fn *ir.Function) (chunk, worker int, ok bool)
+	// Enter accounts one compiled-to-compiled activation before the
+	// callee's body runs. fused is the callee's chunk ID when the callee
+	// is a chunk body of another color than w's (the crossing
+	// optimizer's fused form), and -1 otherwise.
+	Enter(w *prt.Worker, fused int)
+	// Call dispatches a call instruction that is not a compiled-to-
+	// compiled call, with its evaluated callee value (meaningful for
+	// indirect calls) and arguments: runtime intrinsics, builtins,
+	// indirect calls through interface versions, and direct calls to a
+	// function the unit holds no body for. args is the calling frame's
+	// buffer (Frame.Args): copy whatever outlives the call.
 	Call(w *prt.Worker, t *ir.Call, callee Val, args []Val) Val
 }
 

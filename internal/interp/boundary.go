@@ -194,9 +194,7 @@ func (ip *Interp) snapLoad(w *prt.Worker, addr uint64, buf []byte) bool {
 			ip.bStats.snapServed.Add(1)
 		} else {
 			if obs != nil {
-				obs.GuardedLoad(sgx.EncodePtr(sgx.Unsafe, wordOff), 8, enclave, !cached, func() {
-					r.Load(wordOff, wb[:])
-				})
+				wb = guardedLoadWord(obs, r, wordOff, enclave, !cached)
 			} else {
 				r.Load(wordOff, wb[:])
 			}
@@ -212,6 +210,18 @@ func (ip *Interp) snapLoad(w *prt.Worker, addr uint64, buf []byte) bool {
 		}
 	}
 	return true
+}
+
+// guardedLoadWord reads one aligned U word through the observer. The
+// observer's callback captures the word buffer, so keeping that capture
+// in its own function moves a word to the heap on the observer path
+// alone, not on every snapshot load.
+func guardedLoadWord(obs BoundaryObserver, r *sgx.Region, wordOff uint64, enclave, fresh bool) [8]byte {
+	var wb [8]byte
+	obs.GuardedLoad(sgx.EncodePtr(sgx.Unsafe, wordOff), 8, enclave, fresh, func() {
+		r.Load(wordOff, wb[:])
+	})
+	return wb
 }
 
 // snapStoreSync keeps an active snapshot coherent with the chunk's own

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"privagic/internal/exec"
 	"privagic/internal/ir"
 	"privagic/internal/obs"
 	"privagic/internal/partition"
@@ -29,7 +30,9 @@ func (ip *Interp) call(w *prt.Worker, frame map[ir.Value]val, t *ir.Call) val {
 // (the mini-libc of §6.3 plus host I/O), and indirect calls through the
 // interface versions (§6.3). Both engines land here — it is the exec.Env
 // call seam — and the differential recorder captures every operation with
-// an effect or an environment-supplied result.
+// an effect or an environment-supplied result. On the compiled tier args
+// is the calling frame's buffer, so nothing here keeps it: spawn payloads
+// and recorded vectors are copies.
 func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val) val {
 	fn, direct := t.Callee.(*ir.Function)
 	if !direct {
@@ -50,7 +53,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 				defer func() { w.Diff = rec }()
 				v = ip.invokeInterface(w, pf, args)
 			}()
-			rec.add(diffOp{kind: opInvoke, a: idx, vec: args, v: v})
+			rec.add(diffOp{kind: opInvoke, a: idx, vec: append([]val(nil), args...), v: v})
 			return v
 		}
 		return ip.invokeInterface(w, pf, args)
@@ -173,11 +176,15 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		// Direct call to another chunk on the same worker: the normal
 		// same-color case, or the crossing optimizer's fused form (a
 		// message-free unsafe chunk inlined into its spawner's worker).
+		// The interpreter runs the callee inline (under the differential
+		// recorder, its operations land in the caller's trace). Compiled
+		// bodies call each other through their own direct step, which
+		// accounts the same way (liveEnv.Enter); on that tier only a
+		// callee without a compiled body — an empty one — comes here.
 		if ch := ip.chunkOf[fn]; ch != nil && ip.Prog.ColorIndex(ch.Color) != w.Index {
-			ip.cross.fusedCalls.Add(1)
-			ip.RT.Tracer.Record(obs.EvFusedCall, w.Index, ch.ID, 0, 0, 0)
+			ip.fusedCall(w, ch.ID)
 		}
-		return ip.runOn(w, fn, args)
+		return ip.runFn(w, fn, args)
 	}
 	v := ip.builtin(w, fn, t, args)
 	if rec := recOf(w); rec != nil {
@@ -185,9 +192,16 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		// the recording seam, so one opaque record carries the whole
 		// operation: the shadow checks the arguments (the observable
 		// outbound surface) and replays the result.
-		rec.add(diffOp{kind: opCall, name: fn.FName, vec: args, v: v})
+		rec.add(diffOp{kind: opCall, name: fn.FName, vec: append([]val(nil), args...), v: v})
 	}
 	return v
+}
+
+// fusedCall counts a direct call into a chunk of another color than the
+// worker's (cross.fused_calls and its fused_call event).
+func (ip *Interp) fusedCall(w *prt.Worker, chunkID int) {
+	ip.cross.fusedCalls.Add(1)
+	ip.RT.Tracer.Record(obs.EvFusedCall, w.Index, chunkID, 0, 0, 0)
 }
 
 // valsOf converts a payload vector to vals for the differential trace
@@ -250,7 +264,7 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		fallthrough
 	case "memcpy", "strncpy":
 		dst, src, n := uint64(args[0].I), uint64(args[1].I), args[2].I
-		buf := make([]byte, n)
+		buf := exec.PoolOf(w).Scratch(int(n))
 		ip.loadBytes(w, src, buf)
 		if fn.FName == "strncpy" {
 			if i := indexByte(buf, 0); i >= 0 {
@@ -267,7 +281,7 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		return args[0]
 	case "memset":
 		dst, c, n := uint64(args[0].I), byte(args[1].I), args[2].I
-		buf := make([]byte, n)
+		buf := exec.PoolOf(w).Scratch(int(n))
 		for i := range buf {
 			buf[i] = c
 		}
@@ -291,7 +305,7 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 	case "hash64":
 		// FNV-1a, the classic in-enclave hash helper.
 		p, n := uint64(args[0].I), args[1].I
-		buf := make([]byte, n)
+		buf := exec.PoolOf(w).Scratch(int(n))
 		ip.loadBytes(w, p, buf)
 		var h uint64 = 14695981039346656037
 		for _, b := range buf {

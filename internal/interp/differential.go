@@ -292,13 +292,22 @@ func (e *diffEnv) diverge(format string, args ...any) {
 // GlobalAddr mirrors the live resolution (compile-time only; the shadow
 // runs a unit compiled against liveEnv, so this exists to satisfy
 // exec.Env).
-func (e *diffEnv) GlobalAddr(g *ir.Global) exec.Val { return (&liveEnv{e.ip}).GlobalAddr(g) }
+func (e *diffEnv) GlobalAddr(g *ir.Global) exec.Val { return e.ip.live.GlobalAddr(g) }
 
 // FuncValue mirrors the live resolution (compile-time only).
-func (e *diffEnv) FuncValue(fn *ir.Function) exec.Val { return (&liveEnv{e.ip}).FuncValue(fn) }
+func (e *diffEnv) FuncValue(fn *ir.Function) exec.Val { return e.ip.live.FuncValue(fn) }
 
 // ElemStride mirrors the live stride (compile-time only).
-func (e *diffEnv) ElemStride(elem ir.Type) int64 { return (&liveEnv{e.ip}).ElemStride(elem) }
+func (e *diffEnv) ElemStride(elem ir.Type) int64 { return e.ip.live.ElemStride(elem) }
+
+// ChunkHome mirrors the live resolution (compile-time only).
+func (e *diffEnv) ChunkHome(fn *ir.Function) (chunk, worker int, ok bool) {
+	return e.ip.live.ChunkHome(fn)
+}
+
+// Enter accounts nothing: the live pass already counted the activation
+// (the shadow re-executes it, it does not dispatch it again).
+func (e *diffEnv) Enter(w *prt.Worker, fused int) {}
 
 // Alloca replays the live allocation's address.
 func (e *diffEnv) Alloca(w *prt.Worker, t *ir.Alloca) exec.Val {
@@ -359,10 +368,12 @@ func (e *diffEnv) FieldAddr(w *prt.Worker, t *ir.FieldAddr, base exec.Val) exec.
 }
 
 // Call mirrors dispatchCall against the trace: intrinsics check their
-// outbound operands and replay inbound payloads; direct calls recurse
-// into the callee's compiled body under the same trace (the live pass
-// recorded the callee's operations inline); builtins and indirect
-// invocations check arguments and replay the recorded result.
+// outbound operands and replay inbound payloads; builtins and indirect
+// invocations check arguments and replay the recorded result. A direct
+// call to a compiled body never comes here: the shadow runs the callee
+// through the same direct step as the live compiled tier, against this
+// Env and over the same trace (the live pass recorded the callee's
+// operations inline).
 func (e *diffEnv) Call(w *prt.Worker, t *ir.Call, callee exec.Val, args []exec.Val) exec.Val {
 	fn, direct := t.Callee.(*ir.Function)
 	if !direct {
@@ -451,12 +462,8 @@ func (e *diffEnv) Call(w *prt.Worker, t *ir.Call, callee exec.Val, args []exec.V
 		return op.v
 	}
 	if !fn.External {
-		// Direct call: the live pass interpreted the callee inline under
-		// the same recorder, so the shadow recurses into the callee's
-		// compiled body over the same trace.
-		if cf := e.ip.compiledFn(fn); cf != nil {
-			return e.ip.runCompiled(cf, w, args, e)
-		}
+		// A callee without a compiled body is an empty one: the live
+		// pass ran nothing and recorded nothing for it.
 		return val{}
 	}
 	op := e.pop(opCall)

@@ -198,8 +198,11 @@ func (ip *Interp) storeBytes(w *prt.Worker, addr uint64, data []byte) {
 				panic(runtimeErr{Err: err})
 			}
 		} else {
-			ip.guardedBackingStore(addr, len(data), func() {
-				if err := ip.RT.Space.CheckedStore(w.Mode, addr, data); err != nil {
+			// The observer's callback stores a copy: capturing data
+			// itself would move every caller's store buffer to the heap.
+			cp := append([]byte(nil), data...)
+			ip.guardedBackingStore(addr, len(cp), func() {
+				if err := ip.RT.Space.CheckedStore(w.Mode, addr, cp); err != nil {
 					panic(runtimeErr{Err: err})
 				}
 			})

@@ -38,7 +38,7 @@ func (ip *Interp) SetEngine(e prt.Engine) (err error) {
 			}
 		}()
 		start := time.Now()
-		unit := compile.New(ip.Prog.CompileSet(), &liveEnv{ip}, compile.Options{})
+		unit := compile.New(ip.Prog.CompileSet(), ip.live, compile.Options{})
 		ip.es.compileUS.Store(time.Since(start).Microseconds())
 		ip.unit = unit
 	}
@@ -52,7 +52,7 @@ func (ip *Interp) Engine() prt.Engine { return ip.RT.Engine }
 // OverrideUnit replaces the compiled unit — a test lever (the negative
 // differential-oracle test compiles a deliberately seam-skipping unit).
 func (ip *Interp) OverrideUnit(opts compile.Options) {
-	ip.unit = compile.New(ip.Prog.CompileSet(), &liveEnv{ip}, opts)
+	ip.unit = compile.New(ip.Prog.CompileSet(), ip.live, opts)
 }
 
 // ExecStats reports the engine-selection counters backing the exec.*
@@ -70,7 +70,7 @@ type ExecStats struct {
 	// CompileTime is the wall time SetEngine spent lowering the unit.
 	CompileTime time.Duration
 	// CompiledDispatches counts chunk/helper bodies run on the compiled
-	// tier.
+	// tier: chunk activations and compiled-to-compiled calls alike.
 	CompiledDispatches int64
 	// OracleDivergences counts differential-oracle failures (zero on a
 	// healthy build; any nonzero value is a compiler bug).
@@ -86,18 +86,16 @@ func (ip *Interp) compiledFn(fn *ir.Function) *compile.Fn {
 	return ip.unit.Fn(fn)
 }
 
-// runCompiled executes a compiled body: a dense register frame replaces
-// the interpreter's value map, and the step array drives itself to a
-// return. Runtime errors surface as the same runtimeErr panics the
-// interpreter raises.
+// runCompiled executes a compiled chunk activation: a dense register
+// frame from the worker's pool replaces the interpreter's value map, and
+// the step array drives itself to a return (its direct calls run their
+// callees the same way, on frames from the same pool). Runtime errors
+// surface as the same runtimeErr panics the interpreter raises.
 func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exec.Env) val {
-	fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), W: w, Env: env}
-	n := cf.NumParams
-	if n > len(args) {
-		n = len(args)
-	}
+	fr := exec.PoolOf(w).Frame(w, env, cf.NumSlots)
+	n := min(cf.NumParams, len(args))
 	copy(fr.Regs[:n], args[:n])
-	return exec.Run(cf.Code, fr)
+	return exec.RunPooled(cf.Code, fr)
 }
 
 // liveEnv adapts the interpreter's seams to exec.Env for the compiled
@@ -152,6 +150,24 @@ func (e *liveEnv) ElemStride(elem ir.Type) int64 {
 		size = ly.size
 	}
 	return size
+}
+
+// ChunkHome resolves a chunk body's ID and home worker (compile time).
+func (e *liveEnv) ChunkHome(fn *ir.Function) (chunk, worker int, ok bool) {
+	ch := e.ip.chunkOf[fn]
+	if ch == nil {
+		return 0, 0, false
+	}
+	return ch.ID, e.ip.Prog.ColorIndex(ch.Color), true
+}
+
+// Enter counts a compiled-to-compiled activation, and a fused call the
+// way dispatchCall counts one for the interpreter.
+func (e *liveEnv) Enter(w *prt.Worker, fused int) {
+	e.ip.es.compiledRuns.Add(1)
+	if fused >= 0 {
+		e.ip.fusedCall(w, fused)
+	}
 }
 
 // Call dispatches a call instruction.

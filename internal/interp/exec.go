@@ -78,7 +78,7 @@ func (ip *Interp) runChunkBody(w *prt.Worker, ch *partition.Chunk, args []val) v
 	case prt.EngineCompiled:
 		if cf := ip.compiledFn(ch.Fn); cf != nil {
 			ip.es.compiledRuns.Add(1)
-			return ip.runCompiled(cf, w, args, &liveEnv{ip})
+			return ip.runCompiled(cf, w, args, ip.live)
 		}
 		return ip.runFn(w, ch.Fn, args)
 	case prt.EngineDifferential:
@@ -86,19 +86,6 @@ func (ip *Interp) runChunkBody(w *prt.Worker, ch *partition.Chunk, args []val) v
 	default:
 		return ip.runFn(w, ch.Fn, args)
 	}
-}
-
-// runOn runs a directly-called function body on the worker's engine (the
-// differential tier interprets here: its live pass is the interpreter,
-// and the recorder captures the callee's operations inline).
-func (ip *Interp) runOn(w *prt.Worker, fn *ir.Function, args []val) val {
-	if w.Engine == prt.EngineCompiled {
-		if cf := ip.compiledFn(fn); cf != nil {
-			ip.es.compiledRuns.Add(1)
-			return ip.runCompiled(cf, w, args, &liveEnv{ip})
-		}
-	}
-	return ip.runFn(w, fn, args)
 }
 
 // runFn interprets one function (a chunk or a helper) with the worker's
@@ -118,7 +105,7 @@ func (ip *Interp) runFn(w *prt.Worker, fn *ir.Function, args []val) val {
 	steps := 0
 	for {
 		steps++
-		if steps > 100_000_000 {
+		if steps > exec.StepBudget {
 			errf("interp: instruction budget exceeded in @%s (livelock?)", fn.FName)
 		}
 		// Phase 1: φ-nodes read their inputs simultaneously.

@@ -94,8 +94,10 @@ type Interp struct {
 
 	// unit is the closure-compiled form of the program's chunk bodies,
 	// built by SetEngine for the compiled and differential tiers (nil
-	// while the engine is interp); es backs the exec.* metric gauges.
+	// while the engine is interp); live is the exec.Env its live runs
+	// execute against; es backs the exec.* metric gauges.
 	unit *compile.Unit
+	live *liveEnv
 	es   execCounters
 }
 
@@ -132,6 +134,7 @@ func New(prog *partition.Program, machine *sgx.Machine) *Interp {
 		chunkOf:    map[*ir.Function]*partition.Chunk{},
 		vecStash:   map[[2]int][]any{},
 	}
+	ip.live = &liveEnv{ip}
 	for _, ch := range prog.ChunkByID {
 		ip.chunkOf[ch.Fn] = ch
 	}

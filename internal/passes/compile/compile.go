@@ -10,6 +10,9 @@
 // exec.Env — the same interface the interpreter's own loop uses — so the
 // sanitizer, boundary snapshot, effect transaction, replay journal, and
 // observability hooks fire identically in both tiers (DESIGN.md §18).
+// The one call the compiled tier runs itself is a direct call to a body
+// of the same unit: its step binds the callee's *Fn when the unit is
+// built and runs the callee's steps on a frame from the worker's pool.
 //
 // A Unit is compiled per interpreter instance: global addresses and
 // function-pointer values are resolved through the Env at compile time
@@ -53,6 +56,9 @@ type Unit struct {
 func New(fns []*ir.Function, env exec.Env, opts Options) *Unit {
 	start := time.Now()
 	u := &Unit{fns: make(map[*ir.Function]*Fn, len(fns))}
+	// Every body gets its Fn before any is compiled, so a call step can
+	// bind its callee (itself, for recursion) whatever the order.
+	order := make([]*Fn, 0, len(fns))
 	for _, fn := range fns {
 		if fn == nil || len(fn.Blocks) == 0 {
 			continue
@@ -60,8 +66,12 @@ func New(fns []*ir.Function, env exec.Env, opts Options) *Unit {
 		if _, dup := u.fns[fn]; dup {
 			continue
 		}
-		cf := compileFn(fn, env, opts)
+		cf := &Fn{IR: fn}
 		u.fns[fn] = cf
+		order = append(order, cf)
+	}
+	for _, cf := range order {
+		compileFn(cf, u, env, opts)
 		u.Steps += len(cf.Code)
 	}
 	u.CompileTime = time.Since(start)
@@ -145,6 +155,7 @@ func applyCopies(fr *exec.Frame, copies []edgeCopy) {
 
 type fnCompiler struct {
 	fn      *ir.Function
+	unit    *Unit
 	env     exec.Env
 	opts    Options
 	slots   map[ir.Value]int
@@ -153,9 +164,12 @@ type fnCompiler struct {
 	code    []exec.Step
 }
 
-func compileFn(fn *ir.Function, env exec.Env, opts Options) *Fn {
+// compileFn lowers cf.IR into cf.
+func compileFn(cf *Fn, u *Unit, env exec.Env, opts Options) {
+	fn := cf.IR
 	c := &fnCompiler{
 		fn:      fn,
+		unit:    u,
 		env:     env,
 		opts:    opts,
 		slots:   make(map[ir.Value]int, 16),
@@ -191,14 +205,8 @@ func compileFn(fn *ir.Function, env exec.Env, opts Options) *Fn {
 	for _, b := range fn.Blocks {
 		c.emitBlock(b)
 	}
-	return &Fn{
-		IR:        fn,
-		Code:      c.code,
-		NumSlots:  c.nslots,
-		NumParams: nparams,
-		slots:     c.slots,
-		blockPC:   c.blockPC,
-	}
+	cf.Code, cf.NumSlots, cf.NumParams = c.code, c.nslots, nparams
+	cf.slots, cf.blockPC = c.slots, c.blockPC
 }
 
 func countPhis(b *ir.Block) int {
@@ -433,13 +441,19 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 
 	case *ir.Call:
 		dst := c.slots[t]
-		co := c.operand(t.Callee)
 		argOps := make([]operand, len(t.Args))
 		for i, a := range t.Args {
 			argOps[i] = c.operand(a)
 		}
+		if fn, ok := t.Callee.(*ir.Function); ok && !fn.External {
+			if callee := c.unit.fns[fn]; callee != nil {
+				c.emitDirectCall(dst, callee, argOps, next)
+				return
+			}
+		}
+		co := c.operand(t.Callee)
 		c.code = append(c.code, func(fr *exec.Frame) int {
-			args := make([]exec.Val, len(argOps))
+			args := fr.Args(len(argOps))
 			for i := range argOps {
 				args[i] = argOps[i].get(fr)
 			}
@@ -457,6 +471,32 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 			return -1
 		})
 	}
+}
+
+// emitDirectCall lowers a call to a body of the unit: the step runs the
+// callee's steps itself, on a pooled frame of the caller's worker and
+// against the caller's Env, instead of dispatching through Env.Call.
+// Env.Enter still sees every activation, and learns when the callee is a
+// chunk body of another color than the worker's (the fused form), whose
+// home worker is resolved here, once.
+func (c *fnCompiler) emitDirectCall(dst int, callee *Fn, argOps []operand, next int) {
+	chunk, home, isChunk := c.env.ChunkHome(callee.IR)
+	if !isChunk {
+		home = -1
+	}
+	c.code = append(c.code, func(fr *exec.Frame) int {
+		fused := -1
+		if home >= 0 && home != fr.W.Index {
+			fused = chunk
+		}
+		fr.Env.Enter(fr.W, fused)
+		cfr := fr.Callee(callee.NumSlots)
+		for i := 0; i < len(argOps) && i < callee.NumParams; i++ {
+			cfr.Regs[i] = argOps[i].get(fr)
+		}
+		fr.Regs[dst] = exec.RunPooled(callee.Code, cfr)
+		return next
+	})
 }
 
 // emitBinOp specializes the hot integer operators into fused steps (the

@@ -11,8 +11,12 @@ import (
 )
 
 // stubEnv satisfies exec.Env for pure-compute tests: compile-time
-// queries answer neutrally, runtime seams fail the test if reached.
-type stubEnv struct{ t *testing.T }
+// queries answer neutrally, runtime seams fail the test if reached, and
+// compiled-to-compiled activations are counted.
+type stubEnv struct {
+	t      *testing.T
+	enters int
+}
 
 func (e *stubEnv) GlobalAddr(g *ir.Global) exec.Val   { return exec.IV(0x1000) }
 func (e *stubEnv) FuncValue(fn *ir.Function) exec.Val { return exec.IV(1) }
@@ -35,6 +39,13 @@ func (e *stubEnv) Store(w *prt.Worker, t *ir.Store, addr uint64, v exec.Val) {
 func (e *stubEnv) FieldAddr(w *prt.Worker, t *ir.FieldAddr, base exec.Val) exec.Val {
 	e.t.Fatalf("unexpected FieldAddr %s", t)
 	return exec.Val{}
+}
+func (e *stubEnv) ChunkHome(fn *ir.Function) (chunk, worker int, ok bool) { return 0, 0, false }
+func (e *stubEnv) Enter(w *prt.Worker, fused int) {
+	if fused != -1 {
+		e.t.Errorf("Enter(fused=%d) for a function that is not a chunk", fused)
+	}
+	e.enters++
 }
 func (e *stubEnv) Call(w *prt.Worker, t *ir.Call, callee exec.Val, args []exec.Val) exec.Val {
 	e.t.Fatalf("unexpected Call %s", t)
@@ -78,7 +89,7 @@ long work(long n, long seed) {
 // unique slot, and NumSlots is exactly the count of assigned slots.
 func TestSlotAllocation(t *testing.T) {
 	fn := buildFn(t, loopSrc, "work")
-	u := New([]*ir.Function{fn}, &stubEnv{t}, Options{})
+	u := New([]*ir.Function{fn}, &stubEnv{t: t}, Options{})
 	cf := u.Fn(fn)
 	if cf == nil {
 		t.Fatal("function was not compiled")
@@ -128,7 +139,7 @@ func TestSlotAllocation(t *testing.T) {
 // layout total.
 func TestJumpResolution(t *testing.T) {
 	fn := buildFn(t, loopSrc, "work")
-	u := New([]*ir.Function{fn}, &stubEnv{t}, Options{})
+	u := New([]*ir.Function{fn}, &stubEnv{t: t}, Options{})
 	cf := u.Fn(fn)
 	if cf == nil {
 		t.Fatal("function was not compiled")
@@ -168,7 +179,7 @@ func TestJumpResolution(t *testing.T) {
 // parallel-copy semantics the loop's carried values depend on.
 func TestCompiledLoopExecutes(t *testing.T) {
 	fn := buildFn(t, loopSrc, "work")
-	u := New([]*ir.Function{fn}, &stubEnv{t}, Options{})
+	u := New([]*ir.Function{fn}, &stubEnv{t: t}, Options{})
 	cf := u.Fn(fn)
 	if cf == nil {
 		t.Fatal("function was not compiled")
@@ -185,7 +196,7 @@ func TestCompiledLoopExecutes(t *testing.T) {
 		return acc
 	}
 	for _, tc := range [][2]int64{{0, 5}, {1, 0}, {7, -3}, {100, 12345}} {
-		fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), Env: &stubEnv{t}}
+		fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), Env: &stubEnv{t: t}}
 		fr.Regs[0] = exec.IV(tc[0])
 		fr.Regs[1] = exec.IV(tc[1])
 		got := exec.Run(cf.Code, fr)
@@ -199,11 +210,68 @@ func TestCompiledLoopExecutes(t *testing.T) {
 func TestEmptyAndDuplicateFunctionsSkipped(t *testing.T) {
 	fn := buildFn(t, loopSrc, "work")
 	empty := &ir.Function{FName: "empty"}
-	u := New([]*ir.Function{fn, fn, nil, empty}, &stubEnv{t}, Options{})
+	u := New([]*ir.Function{fn, fn, nil, empty}, &stubEnv{t: t}, Options{})
 	if u.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (duplicates, nils, and empty bodies skipped)", u.Len())
 	}
 	if u.Fn(empty) != nil {
 		t.Error("empty function was compiled")
+	}
+}
+
+// callSrc has a recursive helper and a loop that calls it.
+const callSrc = `
+long down(long n) {
+	if (n == 0) { return 0; }
+	return down(n - 1) + 1;
+}
+long spin(long n) {
+	long s = 0;
+	for (long i = 0; i < n; i = i + 1) {
+		s = s + down(20);
+	}
+	return s;
+}
+`
+
+// TestDirectCallsBudgetPerActivation runs compiled-to-compiled calls
+// and checks the step budget is per activation, as the interpreter's
+// is: spin's own branches count against its frame, the 210 activations
+// of down each start a fresh budget on a pooled frame, and Env.Enter
+// sees every one of them.
+func TestDirectCallsBudgetPerActivation(t *testing.T) {
+	mod, err := minic.Compile("test.c", callSrc)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	passes.RunAll(mod)
+	env := &stubEnv{t: t}
+	u := New([]*ir.Function{mod.Func("spin"), mod.Func("down")}, env, Options{})
+	spin := u.Fn(mod.Func("spin"))
+	run := func(headroom int) (v exec.Val, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				re, ok := r.(exec.RuntimeErr)
+				if !ok {
+					panic(r)
+				}
+				err = re.Err
+			}
+		}()
+		fr := exec.PoolOf(nil).Frame(nil, env, spin.NumSlots)
+		fr.Regs[0] = exec.IV(10)
+		fr.Steps = exec.StepBudget - headroom
+		return exec.RunPooled(spin.Code, fr), nil
+	}
+	// spin(10) takes ~21 branches itself; its callees take 210 more.
+	if v, err := run(50); err != nil || v.I != 200 {
+		t.Fatalf("spin(10) with 50 steps of headroom = %v, %v; want 200", v, err)
+	}
+	if env.enters != 210 {
+		t.Errorf("Env.Enter saw %d activations, want 210", env.enters)
+	}
+	_, err = run(5)
+	if want := "interp: instruction budget exceeded in @spin (livelock?)"; err == nil || err.Error() != want {
+		t.Errorf("spin(10) with 5 steps of headroom: error %v, want %q", err, want)
 	}
 }

@@ -317,6 +317,12 @@ type Worker struct {
 	// being recorded. Touched only on the worker's own goroutine.
 	Diff any
 
+	// Exec is a fourth embedder-owned scratch slot: the compiled tier
+	// parks the worker's frame pool here (exec.Pool). Touched only on the
+	// worker's own goroutine, and never carried over to a restarted
+	// worker's replacement.
+	Exec any
+
 	// block publishes what the worker is blocked on, for the watchdog
 	// and for timeout diagnostics.
 	block atomic.Pointer[blockInfo]
