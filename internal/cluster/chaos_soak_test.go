@@ -236,7 +236,12 @@ func runClusterSchedule(seed int64, chaosOn bool, reg *obs.Registry, tracer *obs
 		return nil, err
 	}
 	defer cl.Close()
-	rt, err := cluster.NewRouter(cl, soakRouterConfig())
+	// fenced[s] is the last epoch of shard s the router fenced; a kill is
+	// detected once the killed incarnation's own epoch is fenced.
+	var fenced [soakShards]atomic.Uint64
+	rcfg := soakRouterConfig()
+	rcfg.OnFence = func(shard int, epoch uint64) { fenced[shard].Store(epoch) }
+	rt, err := cluster.NewRouter(cl, rcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +258,11 @@ func runClusterSchedule(seed int64, chaosOn bool, reg *obs.Registry, tracer *obs
 			HangFraction: 0.3,
 			HangFor:      25 * time.Millisecond,
 			RespawnAfter: 8 * time.Millisecond,
+			// A kill stays down until the router fences it (within the
+			// 250ms detection budget asserted below), so a descheduled
+			// prober cannot let the respawn outrun detection.
+			Detected:     func(s int) bool { return fenced[s].Load() == cl.Epoch(s) },
+			DetectBudget: 250 * time.Millisecond,
 			// The zero-loss failure model: at most R-1=1 shard outside
 			// the ring at any instant. The settle gate keeps a respawned
 			// victim's budget held until the router has actually
