@@ -514,6 +514,17 @@ func (r *Router) InRing(shard int) bool {
 	return r.ring.up[shard]
 }
 
+// Epoch reports the directory epoch of the shard incarnation the router
+// routes to. It lags the directory's epoch from a respawn until the
+// prober takes the new incarnation in (readmission after a fence, or
+// adoption without one); a respawned shard is back only once InRing
+// holds at the directory's current epoch.
+func (r *Router) Epoch(shard int) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.shards[shard].epoch
+}
+
 // routeSet resolves a key's full replica set (primary first) plus the
 // member pools, snapshotted under one lock so the set and the pools
 // belong to the same ring instant.

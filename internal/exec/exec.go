@@ -116,9 +116,9 @@ type Frame struct {
 	// Steps counts block transfers against StepBudget.
 	Steps int
 
-	// pool is the worker pool the frame came from (nil for a frame built
-	// by hand); args backs the argument vectors of the frame's Env.Call
-	// steps.
+	// pool is the worker pool the frame came from (Pool.Frame sets it; a
+	// frame built by hand has none and so cannot make a direct call);
+	// args backs the argument vectors of the frame's Env.Call steps.
 	pool *Pool
 	args []Val
 }
@@ -152,9 +152,6 @@ func (fr *Frame) Args(n int) []Val {
 // zeroed nslots-register frame from the caller's worker pool, running on
 // the caller's worker against the caller's Env. Run it with RunPooled.
 func (fr *Frame) Callee(nslots int) *Frame {
-	if fr.pool == nil {
-		fr.pool = PoolOf(fr.W)
-	}
 	return fr.pool.Frame(fr.W, fr.Env, nslots)
 }
 

@@ -50,19 +50,6 @@ type ChaosConfig struct {
 	// data.
 	RespawnAfter time.Duration
 
-	// Detected, when set, holds a killed shard down past RespawnAfter
-	// until Detected(victim) reports the kill seen (a soak wires it to the
-	// router fencing the dead incarnation), or DetectBudget passes.
-	// Without it a kill is outlived by its respawn whenever the detector
-	// is descheduled for longer than RespawnAfter, so "every kill causes a
-	// failover" would hold only on an idle host. Hangs are not held: a
-	// hang shorter than detection is meant to be survivable noise.
-	Detected func(shard int) bool
-	// DetectBudget bounds the Detected hold (default 250ms): a kill still
-	// unseen after it is respawned anyway, and the soak's failover
-	// assertion reports the missed detection.
-	DetectBudget time.Duration
-
 	// MaxDown caps concurrently disrupted shards (default NumShards-1, so
 	// at least one survivor always holds the keyspace).
 	MaxDown int
@@ -122,9 +109,6 @@ func NewChaos(cluster ShardCluster, cfg ChaosConfig) *Chaos {
 	}
 	if cfg.RespawnAfter <= 0 {
 		cfg.RespawnAfter = 10 * time.Millisecond
-	}
-	if cfg.DetectBudget <= 0 {
-		cfg.DetectBudget = 250 * time.Millisecond
 	}
 	if cfg.MaxDown <= 0 || cfg.MaxDown >= cluster.NumShards() {
 		cfg.MaxDown = cluster.NumShards() - 1
@@ -237,13 +221,9 @@ func (c *Chaos) act() {
 
 	// Resurrection restores capacity and — because Respawn always means a
 	// cold store at a fresh epoch — is the only path back into the ring.
-	killedAt := time.Now()
 	c.wg.Add(1)
 	time.AfterFunc(c.cfg.RespawnAfter, func() {
 		defer c.wg.Done()
-		if !hang && c.cfg.Detected != nil {
-			c.holdUntilDetected(victim, killedAt.Add(c.cfg.DetectBudget))
-		}
 		if c.cluster.Respawn(victim) == nil {
 			c.mu.Lock()
 			c.respawns++
@@ -271,18 +251,6 @@ func (c *Chaos) act() {
 		delete(c.disrupted, victim)
 		c.mu.Unlock()
 	})
-}
-
-// holdUntilDetected polls Detected(victim) until it reports the kill
-// seen, the deadline passes, or the monkey is stopped.
-func (c *Chaos) holdUntilDetected(victim int, deadline time.Time) {
-	for !c.cfg.Detected(victim) && time.Now().Before(deadline) {
-		select {
-		case <-c.stopCh:
-			return
-		case <-time.After(time.Millisecond):
-		}
-	}
 }
 
 // Counters reports the monkey's activity (CounterSource; snapshots show
